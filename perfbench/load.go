@@ -85,7 +85,7 @@ func newHTTPClient(conns int) *http.Client {
 // step runs the client's next operation, drawn from its seeded stream.
 func (c *client) step(traced bool) op {
 	if len(c.deck) == 0 {
-		c.deck = c.pool.deck(c.w.mutateShare, c.rng)
+		c.deck = c.pool.deck(c.w.mutations, c.rng)
 	}
 	k := c.deck[0]
 	c.deck = c.deck[1:]
@@ -324,8 +324,8 @@ func loop(clients []*client, d time.Duration, traced bool) phase {
 	return ph
 }
 
-// mutateAll has every client send n mutations in a closed loop.
-func mutateAll(clients []*client, n int) []op {
+// mutateAll has every client send mutations in a closed loop for d.
+func mutateAll(clients []*client, d time.Duration) []op {
 	var mu sync.Mutex
 	var ops []op
 	var wg sync.WaitGroup
@@ -333,8 +333,8 @@ func mutateAll(clients []*client, n int) []op {
 		wg.Add(1)
 		go func(c *client) {
 			defer wg.Done()
-			mine := make([]op, 0, n)
-			for i := 0; i < n; i++ {
+			var mine []op
+			for end := time.Now().Add(d); time.Now().Before(end); {
 				mine = append(mine, c.mutate())
 			}
 			mu.Lock()

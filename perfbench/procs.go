@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -48,6 +47,8 @@ func startProc(logPath string, env []string, pipeOut bool, name string, args ...
 	fmt.Fprintf(lf, "\n=== %s %s\n", filepath.Base(name), strings.Join(args, " "))
 	cmd := exec.Command(name, args...)
 	cmd.Env = append(os.Environ(), env...)
+	// The child dies with the benchmark, even if the benchmark crashes.
+	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	cmd.Stderr = lf
 	var out io.Reader
 	if pipeOut {
@@ -128,14 +129,15 @@ func onSignal() {
 	}()
 }
 
-// peakRSSMB reads the high-water resident set size of a process.
-func peakRSSMB(pid int) (float64, error) {
+// statusMB reads a memory field of /proc/<pid>/status ("VmHWM", "VmRSS")
+// in MB.
+func statusMB(pid int, field string) (float64, error) {
 	data, err := os.ReadFile(fmt.Sprintf("/proc/%d/status", pid))
 	if err != nil {
 		return 0, err
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "VmHWM:") {
+		if strings.HasPrefix(line, field+":") {
 			f := strings.Fields(line)
 			kb, err := strconv.ParseFloat(f[1], 64)
 			if err != nil {
@@ -144,7 +146,36 @@ func peakRSSMB(pid int) (float64, error) {
 			return kb / 1024, nil
 		}
 	}
-	return 0, fmt.Errorf("no VmHWM for pid %d", pid)
+	return 0, fmt.Errorf("no %s for pid %d", field, pid)
+}
+
+// secondPeaks returns the high-water resident size of each whole second
+// until stop is closed: it resets the process's VmHWM
+// (/proc/<pid>/clear_refs) at the start of each second and reads it at
+// the end.
+func secondPeaks(pid int, stop <-chan struct{}) (samples, error) {
+	clear := fmt.Sprintf("/proc/%d/clear_refs", pid)
+	if err := os.WriteFile(clear, []byte("5"), 0); err != nil {
+		return nil, err
+	}
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	var peaks samples
+	for {
+		select {
+		case <-stop:
+			return peaks, nil
+		case <-tick.C:
+			v, err := statusMB(pid, "VmHWM")
+			if err != nil {
+				return nil, err
+			}
+			peaks = append(peaks, v)
+			if err := os.WriteFile(clear, []byte("5"), 0); err != nil {
+				return nil, err
+			}
+		}
+	}
 }
 
 // cpuTimes is the machine-wide steal and total jiffies of /proc/stat.
@@ -323,11 +354,7 @@ func (m *mediator) swapSource(uri, url string) error {
 // startRemote launches the federated workload's remote-source process
 // and returns its base URL.
 func (r *runner) startRemote() (*proc, string, error) {
-	p, out, err := startProc(filepath.Join(r.runDir, "remote.log"), []string{"TMPDIR=" + r.tmpDir}, true, r.self, "remote",
-		"-seed", strconv.Itoa(dataSeed),
-		"-politicians", strconv.Itoa(r.w.politicians),
-		"-tweets", strconv.Itoa(r.w.tweets),
-		"-delay", fmt.Sprintf("%dms", remoteDelayMs))
+	p, out, err := startProc(filepath.Join(r.runDir, "remote.log"), []string{"TMPDIR=" + r.tmpDir}, true, r.self, "remote")
 	if err != nil {
 		return nil, "", err
 	}
@@ -404,10 +431,10 @@ func (w countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (c *remoteCounters) wrap(delay time.Duration, h http.Handler) http.Handler {
+func (c *remoteCounters) wrap(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c.requests.Add(1)
-		time.Sleep(delay)
+		time.Sleep(remoteDelayMs * time.Millisecond)
 		r.Body = countingBody{r.Body, &c.bytes}
 		start := time.Now()
 		h.ServeHTTP(countingWriter{w, &c.bytes}, r)
@@ -433,28 +460,19 @@ func (c *remoteCounters) serve(w http.ResponseWriter, r *http.Request) {
 }
 
 // runRemote is the `remote` subcommand: it serves solr://tweets and
-// sql://insee of the seeded dataset through federation.Handler on a
-// loopback port, prints the address on its first output line, and
-// exits on SIGTERM.
-func runRemote(args []string) error {
-	fs := flag.NewFlagSet("remote", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "dataset seed")
-	politicians := fs.Int("politicians", 300, "politicians")
-	tweets := fs.Int("tweets", 20000, "tweets")
-	delay := fs.Duration("delay", remoteDelayMs*time.Millisecond, "delay added to every request")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg := datagen.DefaultConfig()
-	cfg.Seed, cfg.NumPoliticians, cfg.NumTweets = *seed, *politicians, *tweets
-	ds, err := datagen.Generate(cfg)
+// sql://insee of the federated workload's dataset through
+// federation.Handler on a loopback port, each request delayed by
+// remoteDelayMs, prints the address on its first output line, and exits
+// on SIGTERM.
+func runRemote() error {
+	ds, err := datagen.Generate(workloads["federated"].config())
 	if err != nil {
 		return err
 	}
 	c := &remoteCounters{}
 	mux := http.NewServeMux()
 	mount := func(prefix string, src source.DataSource) {
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, c.wrap(*delay, federation.Handler(src))))
+		mux.Handle(prefix+"/", http.StripPrefix(prefix, c.wrap(federation.Handler(src))))
 	}
 	mount("/tweets", source.NewDocSource(datagen.TweetsURI, ds.Tweets))
 	mount("/insee", source.NewRelSource(datagen.INSEEURI, ds.INSEE))

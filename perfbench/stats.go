@@ -12,19 +12,16 @@ const minBeyond = 10
 // samples is a list of measurements in one unit.
 type samples []float64
 
-// pct returns the p-quantile (nearest rank) and whether enough samples
-// lie beyond it to report it.
+// pct returns the p-quantile (nearest rank) and whether at least
+// minBeyond samples lie above the one returned.
 func (s samples) pct(p float64) (float64, bool) {
 	if len(s) == 0 {
 		return 0, false
 	}
 	c := append(samples(nil), s...)
 	sort.Float64s(c)
-	i := int(p * float64(len(c)))
-	if i >= len(c) {
-		i = len(c) - 1
-	}
-	return c[i], float64(len(c))*(1-p) >= minBeyond
+	i := min(int(p*float64(len(c))), len(c)-1)
+	return c[i], len(c)-1-i >= minBeyond
 }
 
 // median returns the middle value (the mean of the two middle ones for

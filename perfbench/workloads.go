@@ -2,12 +2,14 @@ package main
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strings"
+	"time"
 
 	"tatooine/internal/datagen"
+	"tatooine/internal/fulltext"
+	"tatooine/internal/xmlstore"
 )
 
 // workload describes one named benchmark workload: the data it serves,
@@ -22,7 +24,7 @@ type workload struct {
 	joinBudgetMB int  // -join-mem-budget; 0 leaves the production default
 	federated    bool // solr://tweets and sql://insee served over loopback
 
-	mutateShare float64 // share of closed-loop operations that mutate the graph
+	mutations   int     // mutations in every deck of deckSize operations
 	ndjsonShare float64 // share of reads that ask for NDJSON
 	coldQuery   string  // the fixed query issued right after ready
 }
@@ -34,9 +36,10 @@ const (
 	// setupRounds is how many times a run starts the mediator to
 	// measure set-up time; the last start serves the load.
 	setupRounds = 5
-	// mutationProbes is how many mutations the in-memory workloads send
-	// after their read loop, so every workload reports mutation latency.
-	mutationProbes = 1024
+	// mutationTime is how long every client keeps mutating after the read
+	// loop, so every workload reports mutation latency. A fixed time,
+	// not a fixed count, spans several GC cycles on each workload.
+	mutationTime = 4 * time.Second
 )
 
 var workloads = map[string]*workload{
@@ -53,7 +56,7 @@ var workloads = map[string]*workload{
 	"archive-live": {
 		name: "archive-live", politicians: 47000, tweets: 0,
 		durable: true, pageCacheMB: 16, joinBudgetMB: 1,
-		mutateShare: 0.15, ndjsonShare: 0.25,
+		mutations: 30, ndjsonShare: 0.25,
 		coldQuery: bgpScan("LR", "deputy", "75"),
 	},
 }
@@ -72,49 +75,50 @@ func (w *workload) config() datagen.Config {
 	return cfg
 }
 
-// family is one query family of a workload's mix: its share of the
-// reads and the distinct request texts it draws from.
+// family is one query family of a workload's mix: how many of its
+// requests each deck of deckSize operations holds, and the distinct
+// request texts it draws from.
 type family struct {
 	name     string
-	weight   float64
+	perDeck  int
 	variants []string
 }
 
 // pool is the seeded request population of a workload.
 type pool struct {
 	families []family
-	total    float64
+	reads    int // reads per deck: the sum of the families' perDeck
 }
 
+// draw picks a request with the families' deck shares.
 func (p *pool) draw(rng *rand.Rand) (fam, text string) {
-	x := rng.Float64() * p.total
+	x := rng.Intn(p.reads)
 	f := p.families[len(p.families)-1]
 	for _, c := range p.families {
-		if x < c.weight {
+		if x < c.perDeck {
 			f = c
 			break
 		}
-		x -= c.weight
+		x -= c.perDeck
 	}
 	return f.name, f.variants[rng.Intn(len(f.variants))]
 }
 
 // deckSize is the length of one deck of a client's operation stream.
-// Each deck holds every kind of operation in its exact share, in a
+// Each deck holds every kind of operation in its exact count, in a
 // seeded order, so a run's mix of cheap and costly operations does not
 // vary with the luck of the draw.
 const deckSize = 200
 
 // deck returns one shuffled deck of operation kinds: an index into the
 // families, or -1 for a mutation.
-func (p *pool) deck(mutateShare float64, rng *rand.Rand) []int {
-	var d []int
-	for i := 0; i < int(math.Round(mutateShare*deckSize)); i++ {
+func (p *pool) deck(mutations int, rng *rand.Rand) []int {
+	d := make([]int, 0, deckSize)
+	for i := 0; i < mutations; i++ {
 		d = append(d, -1)
 	}
 	for i, f := range p.families {
-		n := max(1, int(math.Round(f.weight/p.total*(1-mutateShare)*deckSize)))
-		for j := 0; j < n; j++ {
+		for j := 0; j < f.perDeck; j++ {
 			d = append(d, i)
 		}
 	}
@@ -137,13 +141,15 @@ func (p *pool) distinct() []string {
 	return out
 }
 
-// mix renders the family weights for the run record.
-func (p *pool) mix() map[string]float64 {
-	out := map[string]float64{}
+// mix renders, for the run record, what every deck sends: each family's
+// count and share of the reads, and the mutations.
+func (p *pool) mix(mutations int) map[string]any {
+	fams := map[string]any{}
 	for _, f := range p.families {
-		out[f.name] = f.weight / p.total
+		fams[f.name] = map[string]any{"per_deck": f.perDeck, "share_of_reads": float64(f.perDeck) / float64(p.reads),
+			"variants": len(f.variants)}
 	}
-	return out
+	return map[string]any{"deck_size": deckSize, "mutations_per_deck": mutations, "reads_per_deck": p.reads, "families": fams}
 }
 
 const prefix = "PREFIX pty: <" + datagen.NS + "party/>\nPREFIX pol: <" + datagen.NSPol + ">\n"
@@ -281,16 +287,22 @@ ORDER BY ?dept`, prefix, party, position, year, party, year)
 }
 
 // buildPool enumerates the workload's request population from the
-// generated dataset.
+// generated dataset. The per-deck counts are assumptions, not observed
+// traffic; README.md gives the reason for each.
 func buildPool(w *workload, ds *datagen.Dataset) *pool {
 	rng := rand.New(rand.NewSource(dataSeed))
 	p := &pool{}
-	add := func(name string, weight float64, variants []string) {
+	add := func(name string, perDeck int, variants []string) {
 		sort.Strings(variants)
 		rng.Shuffle(len(variants), func(i, j int) { variants[i], variants[j] = variants[j], variants[i] })
-		p.families = append(p.families, family{name: name, weight: weight, variants: variants})
-		p.total += weight
+		p.families = append(p.families, family{name: name, perDeck: perDeck, variants: variants})
+		p.reads += perDeck
 	}
+	defer func() {
+		if w.mutations+p.reads != deckSize {
+			panic(fmt.Sprintf("%s: a deck holds %d mutations and %d reads, not %d operations", w.name, w.mutations, p.reads, deckSize))
+		}
+	}()
 	if w.durable {
 		var pts, joins []string
 		for i := 0; i < 1000; i++ {
@@ -298,8 +310,8 @@ func buildPool(w *workload, ds *datagen.Dataset) *pool {
 			pts = append(pts, pointLookup(pol.ID))
 			joins = append(joins, bgpJoin(pol.ID))
 		}
-		add("point", 0.55, dedupe(pts))
-		add("bgp_join", 0.435, dedupe(joins))
+		add("point", 94, dedupe(pts))
+		add("bgp_join", 74, dedupe(joins))
 		var scans, spills []string
 		for _, party := range partyIDs() {
 			for _, pos := range positions {
@@ -309,22 +321,26 @@ func buildPool(w *workload, ds *datagen.Dataset) *pool {
 				spills = append(spills, spillJoin(pos, party, years[rng.Intn(len(years))]))
 			}
 		}
-		add("bgp_scan", 0.0075, scans)
-		add("spill_join", 0.0075, spills)
+		add("bgp_scan", 1, scans)
+		add("spill_join", 1, spills)
 		return p
 	}
 
-	// Accounts are drawn from the politicians who tweet; screen names can
-	// repeat across politicians, so the set is deduplicated.
+	// Parameters come from what the data holds, so every request has at
+	// least one row to check: an author with a tweet under the tag, a
+	// speaker with a speech. Screen names can repeat across politicians,
+	// so the sets are deduplicated.
 	var rare []string
 	for _, pol := range ds.Politicians {
 		for _, tag := range rareTags {
-			rare = append(rare, qsiaRare(pol.Twitter, tag))
+			if tweeted(ds, pol.Twitter, tag) {
+				rare = append(rare, qsiaRare(pol.Twitter, tag))
+			}
 		}
 	}
 	rare = dedupe(rare)
 	rng.Shuffle(len(rare), func(i, j int) { rare[i], rare[j] = rare[j], rare[i] })
-	add("qsia_rare", 0.30, rare[:min(len(rare), 600)])
+	add("qsia_rare", 60, rare[:min(len(rare), 600)])
 
 	var common []string
 	for _, pos := range positions {
@@ -335,7 +351,7 @@ func buildPool(w *workload, ds *datagen.Dataset) *pool {
 			}
 		}
 	}
-	add("qsia_common", 0.07, common)
+	add("qsia_common", 14, common)
 
 	var facts []string
 	for _, party := range partyIDs() {
@@ -347,13 +363,22 @@ func buildPool(w *workload, ds *datagen.Dataset) *pool {
 			}
 		}
 	}
-	add("fact_sources", 0.20, facts)
+	add("fact_sources", 40, facts)
 
+	speakers := map[string]bool{}
+	ds.Speeches.Each(func(d *xmlstore.Document) bool {
+		for _, sp := range d.Root.Children {
+			speakers[sp.Attr("speaker")] = true
+		}
+		return true
+	})
 	var sp []string
 	for _, pol := range ds.Politicians {
-		sp = append(sp, speeches(pol.Twitter))
+		if speakers[pol.Name] {
+			sp = append(sp, speeches(pol.Twitter))
+		}
 	}
-	add("speeches", 0.15, dedupe(sp))
+	add("speeches", 30, dedupe(sp))
 
 	var agg []string
 	for _, pos := range positions {
@@ -361,7 +386,7 @@ func buildPool(w *workload, ds *datagen.Dataset) *pool {
 			agg = append(agg, aggregatedHead(pos, tag))
 		}
 	}
-	add("aggregated_head", 0.05, agg)
+	add("aggregated_head", 10, agg)
 
 	var hj []string
 	for _, pos := range positions {
@@ -373,7 +398,7 @@ func buildPool(w *workload, ds *datagen.Dataset) *pool {
 			}
 		}
 	}
-	add("hash_join", 0.15, hj)
+	add("hash_join", 30, hj)
 
 	var dyn []string
 	for _, r := range regionNames {
@@ -381,8 +406,17 @@ func buildPool(w *workload, ds *datagen.Dataset) *pool {
 			dyn = append(dyn, dynamicDiscovery(r, ind))
 		}
 	}
-	add("dynamic_discovery", 0.08, dyn)
+	add("dynamic_discovery", 16, dyn)
 	return p
+}
+
+// tweeted reports whether the account has a tweet under the hashtag.
+func tweeted(ds *datagen.Dataset, account, tag string) bool {
+	hits, err := ds.Tweets.Search(fulltext.BoolQuery{Must: []fulltext.Query{
+		fulltext.KeywordQuery{Field: "user.screen_name", Value: account},
+		fulltext.KeywordQuery{Field: "entities.hashtags", Value: tag},
+	}}, fulltext.SearchOptions{Limit: 1})
+	return err == nil && len(hits) > 0
 }
 
 func dedupe(in []string) []string {
