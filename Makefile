@@ -1,10 +1,10 @@
 GO ?= go
 BENCHTIME ?= 1x
 
-.PHONY: verify build test vet race bench benchsmoke boundedsmoke fmtcheck obscheck
+.PHONY: verify build test vet race bench benchsmoke boundedsmoke fmtcheck obscheck fuzzsmoke
 
 # Tier-1 gate: a missing-module (or any build/test) regression fails here.
-verify: fmtcheck vet build test benchsmoke boundedsmoke obscheck
+verify: fmtcheck vet build test benchsmoke boundedsmoke obscheck fuzzsmoke
 
 # Bounded-memory smoke: seed an on-disk instance ~4x the 16 MiB
 # page-cache budget and serve point lookups plus a spilling federated
@@ -14,6 +14,14 @@ verify: fmtcheck vet build test benchsmoke boundedsmoke obscheck
 # cache fails verify here.
 boundedsmoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkBoundedMemory$$' -benchtime 1x ./
+
+# Fuzz smoke: run each fuzz target a few seconds past its checked-in
+# seed corpus, so an input that panics the SEARCH parser, query builder
+# and evaluator, or breaks the bloom filter's no-false-negative
+# property, fails verify. A failing input lands under testdata/fuzz.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTextQuery$$' -fuzztime 5s ./internal/fulltext/
+	$(GO) test -run '^$$' -fuzz '^FuzzBloomMayContain$$' -fuzztime 5s ./internal/digest/
 
 # Observability hygiene: no printf logging outside cmd/, and a booted
 # mediator's GET /metrics must scrape as valid Prometheus text.

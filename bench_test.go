@@ -1,6 +1,6 @@
 // Benchmarks reproducing the paper's demonstrated behaviours, one per
-// experiment of DESIGN.md §4 (E1–E10). EXPERIMENTS.md records the
-// measured outcomes against the paper's claims. Run with:
+// experiment (E1–E12), plus the serving, storage and memory benchmarks.
+// perfbench/ holds the end-to-end benchmark. Run these with:
 //
 //	go test -bench=. -benchmem
 package tatooine_test

@@ -7,10 +7,9 @@
 // digests and PMI tag-cloud analytics.
 //
 // The implementation lives under internal/ (one package per
-// subsystem; see DESIGN.md for the inventory), the runnable
-// demonstrations under examples/, the CLI under cmd/, and the
-// experiment reproduction benchmarks in bench_test.go (indexed in
-// EXPERIMENTS.md).
+// subsystem), the runnable demonstrations under examples/, the CLI
+// under cmd/, the experiment reproduction benchmarks in bench_test.go,
+// and the end-to-end benchmark in perfbench/.
 //
 // # Serving queries
 //
@@ -447,4 +446,23 @@
 // deliberately overflowing join while max RSS stays within 1.5x the
 // budget — and "make verify" smoke-tests the same setup. See
 // examples/boundedmemory for the end-to-end walkthrough.
+//
+// # Full-text conjunctions
+//
+// The §3 scenarios bind-join politicians' accounts into the tweet store
+// with SEARCH tweets WHERE user.screen_name = ? AND entities.hashtags =
+// '<tag>': an author's few dozen tweets against a hashtag held by
+// thousands. internal/fulltext evaluates every clause to its matching
+// documents in ascending document-ID order. Keyword and term posting
+// lists are already in that order, because documents only append and
+// take increasing IDs, so they are read in place and never copied. A
+// conjunction drives from its shortest list and seeks each candidate in
+// the others by galloping search; disjunctions (Should, CONTAINS
+// without RequireAll) merge the lists, and MustNot seeks each kept
+// document in the excluded lists. A document's score adds its clauses'
+// scores in clause order (1 per keyword or range clause, BM25 per
+// term), so scores and hit order do not depend on which list drives.
+// The probe above therefore costs about the author's list times the
+// logarithm of the hashtag's, and the planner's estimate for a literal
+// keyword (fulltext.Index.KeywordCount) is a posting length.
 package tatooine

@@ -2,6 +2,7 @@ package fulltext
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"tatooine/internal/doc"
@@ -34,7 +35,7 @@ func mkTweet(id, author, text string, hashtags []string, retweets int, ts string
 	return d
 }
 
-func testIndex(t *testing.T) *Index {
+func testIndex(t testing.TB) *Index {
 	t.Helper()
 	ix := NewIndex("tweets", tweetSchema())
 	tweets := []*doc.Document{
@@ -405,6 +406,34 @@ func TestConcurrentSearches(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestConcurrentRangeSearches runs range searches from several
+// goroutines on an index whose numeric entries were never sorted: the
+// first search must not sort them under the shared read lock. Run it
+// with -race -count=10.
+func TestConcurrentRangeSearches(t *testing.T) {
+	ix := testIndex(t)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hits, err := ix.Search(RangeQuery{Field: "retweet_count", Min: value.NewInt(100), Max: value.NewNull()}, SearchOptions{})
+			if err == nil && len(hits) != 2 {
+				err = fmt.Errorf("retweets >= 100: %v", ids(hits))
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
 		}
 	}
 }

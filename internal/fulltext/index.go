@@ -51,7 +51,7 @@ type Index struct {
 
 	text     map[string]map[string][]posting // text field → token → postings
 	keyword  map[string]map[string][]int32   // keyword field → folded value → doc ids
-	numeric  map[string][]numEntry           // numeric/time field → entries (sorted lazily)
+	numeric  map[string][]numEntry           // numeric/time field → entries (sorted lazily, see rlockSorted)
 	numDirty map[string]bool
 
 	docLen   map[string][]uint32 // text field → per-doc token count
@@ -208,14 +208,35 @@ func (ix *Index) Each(fn func(d *doc.Document) bool) {
 	}
 }
 
-// sortedNumeric returns the numeric entries for a field sorted by value.
-func (ix *Index) sortedNumeric(field string) []numEntry {
-	if ix.numDirty[field] {
-		entries := ix.numeric[field]
-		sort.Slice(entries, func(i, j int) bool { return entries[i].val < entries[j].val })
-		ix.numDirty[field] = false
+// rlockSorted takes the read lock with every numeric field's entries
+// sorted by value. Add only appends and marks the field dirty; the sort
+// happens here under the write lock, because concurrent searches share
+// the read lock.
+func (ix *Index) rlockSorted() {
+	for {
+		ix.mu.RLock()
+		if len(ix.numDirty) == 0 {
+			return
+		}
+		ix.mu.RUnlock()
+		ix.mu.Lock()
+		for field := range ix.numDirty {
+			entries := ix.numeric[field]
+			sort.Slice(entries, func(i, j int) bool { return entries[i].val < entries[j].val })
+			delete(ix.numDirty, field)
+		}
+		ix.mu.Unlock()
 	}
-	return ix.numeric[field]
+}
+
+// KeywordCount returns how many documents hold value in a keyword
+// field: the length of its posting list, with no hit ranked. A declared
+// field of another type counts 0; an undeclared one is an error.
+func (ix *Index) KeywordCount(field, value string) (int, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ids, err := ix.keywordPostings(field, value)
+	return len(ids), err
 }
 
 // FieldTerms returns the distinct tokens (text fields) or folded values

@@ -3,6 +3,7 @@ package fulltext
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"tatooine/internal/doc"
@@ -99,16 +100,16 @@ const (
 // Search evaluates the query and returns hits ordered by descending
 // BM25 score (or by SortField when given).
 func (ix *Index) Search(q Query, opts SearchOptions) ([]Hit, error) {
-	ix.mu.RLock()
-	scores, err := ix.eval(q)
+	ix.rlockSorted()
+	m, err := ix.eval(q)
 	if err != nil {
 		ix.mu.RUnlock()
 		return nil, err
 	}
-	hits := make([]Hit, 0, len(scores))
-	for docID, score := range scores {
-		d := ix.docs[docID]
-		hits = append(hits, Hit{ID: d.ID, Score: score, Doc: d})
+	hits := make([]Hit, m.len())
+	for i := range hits {
+		d := ix.docs[m.id(i)]
+		hits[i] = Hit{ID: d.ID, Score: m.score(i), Doc: d}
 	}
 	ix.mu.RUnlock()
 
@@ -154,15 +155,183 @@ func firstNumeric(d *doc.Document, field string) float64 {
 	return math.Inf(-1)
 }
 
-// eval returns docID → score for the query. Caller holds the read lock.
-func (ix *Index) eval(q Query) (map[int32]float64, error) {
+// A matchList is one clause's matching documents in ascending doc-ID
+// order, each with the score the clause gives it. Add assigns
+// increasing doc IDs and only appends, so keyword and term posting
+// lists are already in this order and are read in place.
+type matchList interface {
+	len() int
+	id(i int) int32
+	score(i int) float64
+}
+
+// idList holds keyword or range matches; each scores 1.
+type idList []int32
+
+func (l idList) len() int        { return len(l) }
+func (l idList) id(i int) int32  { return l[i] }
+func (idList) score(int) float64 { return 1 }
+
+// allDocs matches documents 0..n-1, each with score 0.
+type allDocs int32
+
+func (n allDocs) len() int        { return int(n) }
+func (allDocs) id(i int) int32    { return int32(i) }
+func (allDocs) score(int) float64 { return 0 }
+
+// termList scores one term's postings by BM25.
+type termList struct {
+	ps     []posting
+	idf    float64
+	avgLen float64
+	docLen []uint32
+}
+
+func (l *termList) len() int       { return len(l.ps) }
+func (l *termList) id(i int) int32 { return l.ps[i].docID }
+
+func (l *termList) score(i int) float64 {
+	p := l.ps[i]
+	tf := float64(len(p.positions))
+	dl := 1.0
+	if int(p.docID) < len(l.docLen) {
+		dl = float64(l.docLen[p.docID])
+	}
+	return l.idf * (tf * (bm25K1 + 1)) / (tf + bm25K1*(1-bm25B+bm25B*dl/l.avgLen))
+}
+
+// scoredList is a computed result: a conjunction, union, difference or
+// phrase filter.
+type scoredList struct {
+	ids    []int32
+	scores []float64
+}
+
+func (l *scoredList) len() int            { return len(l.ids) }
+func (l *scoredList) id(i int) int32      { return l.ids[i] }
+func (l *scoredList) score(i int) float64 { return l.scores[i] }
+
+func (l *scoredList) add(id int32, score float64) {
+	l.ids = append(l.ids, id)
+	l.scores = append(l.scores, score)
+}
+
+// seek returns the first index at or after from whose doc ID is at
+// least id, galloping forward from from and then binary searching, so
+// a short list probes a long one in logarithmic steps.
+func seek(l matchList, from int, id int32) int {
+	n := l.len()
+	if from >= n || l.id(from) >= id {
+		return from
+	}
+	// Invariant: l.id(lo) < id.
+	lo, step := from, 1
+	hi := lo + step
+	for hi < n && l.id(hi) < id {
+		lo = hi
+		step <<= 1
+		hi = lo + step
+	}
+	if hi > n {
+		hi = n
+	}
+	return lo + 1 + sort.Search(hi-lo-1, func(k int) bool { return l.id(lo+1+k) >= id })
+}
+
+// intersect returns the documents every list holds. It drives from the
+// shortest list and seeks each candidate in the others. A document's
+// score is the sum of the lists' scores, added in list order.
+func intersect(lists []matchList) matchList {
+	if len(lists) == 1 {
+		return lists[0]
+	}
+	drive := 0
+	for k, l := range lists {
+		if l.len() < lists[drive].len() {
+			drive = k
+		}
+	}
+	d := lists[drive]
+	pos := make([]int, len(lists))
+	out := &scoredList{ids: make([]int32, 0, d.len()), scores: make([]float64, 0, d.len())}
+next:
+	for i := 0; i < d.len(); i++ {
+		id := d.id(i)
+		pos[drive] = i
+		for k, l := range lists {
+			if k == drive {
+				continue
+			}
+			pos[k] = seek(l, pos[k], id)
+			if pos[k] == l.len() {
+				break next
+			}
+			if l.id(pos[k]) != id {
+				continue next
+			}
+		}
+		score := 0.0
+		for k, l := range lists {
+			score += l.score(pos[k])
+		}
+		out.add(id, score)
+	}
+	return out
+}
+
+// union returns the documents any list holds. A document's score is the
+// sum of the scores of the lists holding it, added in list order.
+func union(lists []matchList) matchList {
+	if len(lists) == 1 {
+		return lists[0]
+	}
+	pos := make([]int, len(lists))
+	out := &scoredList{}
+	for {
+		id, found := int32(0), false
+		for k, l := range lists {
+			if pos[k] < l.len() && (!found || l.id(pos[k]) < id) {
+				id, found = l.id(pos[k]), true
+			}
+		}
+		if !found {
+			return out
+		}
+		score := 0.0
+		for k, l := range lists {
+			if pos[k] < l.len() && l.id(pos[k]) == id {
+				score += l.score(pos[k])
+				pos[k]++
+			}
+		}
+		out.add(id, score)
+	}
+}
+
+// subtract returns the documents of l that no excluded list holds,
+// keeping their scores.
+func subtract(l matchList, excluded []matchList) matchList {
+	pos := make([]int, len(excluded))
+	out := &scoredList{}
+next:
+	for i := 0; i < l.len(); i++ {
+		id := l.id(i)
+		for k, x := range excluded {
+			pos[k] = seek(x, pos[k], id)
+			if pos[k] < x.len() && x.id(pos[k]) == id {
+				continue next
+			}
+		}
+		out.add(id, l.score(i))
+	}
+	return out
+}
+
+// eval returns the query's matches. Caller holds the read lock.
+func (ix *Index) eval(q Query) (matchList, error) {
 	switch x := q.(type) {
 	case AllQuery:
-		out := make(map[int32]float64, len(ix.docs))
-		for i := range ix.docs {
-			out[int32(i)] = 0
-		}
-		return out, nil
+		return allDocs(len(ix.docs)), nil
 	case TermQuery:
 		terms := ix.analyzer.Tokens(x.Term)
 		if len(terms) > 1 {
@@ -175,18 +344,7 @@ func (ix *Index) eval(q Query) (map[int32]float64, error) {
 	case PhraseQuery:
 		return ix.evalPhrase(x.Field, x.Text)
 	case KeywordQuery:
-		m, ok := ix.keyword[x.Field]
-		out := make(map[int32]float64)
-		if !ok {
-			if _, declared := ix.schema[x.Field]; !declared {
-				return nil, fmt.Errorf("fulltext: unknown keyword field %q", x.Field)
-			}
-			return out, nil
-		}
-		for _, id := range m[Fold(x.Value)] {
-			out[id] = 1
-		}
-		return out, nil
+		return ix.keywordPostings(x.Field, x.Value)
 	case RangeQuery:
 		return ix.evalRange(x)
 	case BoolQuery:
@@ -196,56 +354,66 @@ func (ix *Index) eval(q Query) (map[int32]float64, error) {
 	}
 }
 
-func (ix *Index) evalTerms(field string, terms []string, requireAll bool) (map[int32]float64, error) {
+// evalAll evaluates each query, stopping at the first error.
+func (ix *Index) evalAll(qs []Query) ([]matchList, error) {
+	out := make([]matchList, len(qs))
+	for i, q := range qs {
+		m, err := ix.eval(q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = m
+	}
+	return out, nil
+}
+
+// keywordPostings returns the IDs of the documents holding value in a
+// keyword field. Caller holds the read lock.
+func (ix *Index) keywordPostings(field, value string) (idList, error) {
+	m, ok := ix.keyword[field]
+	if !ok {
+		if _, declared := ix.schema[field]; !declared {
+			return nil, fmt.Errorf("fulltext: unknown keyword field %q", field)
+		}
+		return nil, nil
+	}
+	return m[Fold(value)], nil
+}
+
+// evalTerms matches documents holding all terms (requireAll) or any of
+// them, scoring each held term by BM25.
+func (ix *Index) evalTerms(field string, terms []string, requireAll bool) (matchList, error) {
 	if _, declared := ix.schema[field]; !declared {
 		return nil, fmt.Errorf("fulltext: unknown field %q", field)
 	}
 	postingsByTerm := ix.text[field]
-	out := make(map[int32]float64)
 	if len(terms) == 0 || postingsByTerm == nil {
-		return out, nil
+		return idList(nil), nil
 	}
 	n := float64(len(ix.docs))
 	avgLen := 1.0
 	if n > 0 && ix.totalLen[field] > 0 {
 		avgLen = float64(ix.totalLen[field]) / n
 	}
-	matchCount := make(map[int32]int)
-	for _, term := range terms {
+	lists := make([]matchList, len(terms))
+	for i, term := range terms {
 		plist := postingsByTerm[term]
-		if len(plist) == 0 {
-			continue
-		}
 		idf := math.Log(1 + (n-float64(len(plist))+0.5)/(float64(len(plist))+0.5))
-		for _, p := range plist {
-			tf := float64(len(p.positions))
-			dl := 1.0
-			if int(p.docID) < len(ix.docLen[field]) {
-				dl = float64(ix.docLen[field][p.docID])
-			}
-			score := idf * (tf * (bm25K1 + 1)) / (tf + bm25K1*(1-bm25B+bm25B*dl/avgLen))
-			out[p.docID] += score
-			matchCount[p.docID]++
-		}
+		lists[i] = &termList{ps: plist, idf: idf, avgLen: avgLen, docLen: ix.docLen[field]}
 	}
 	if requireAll {
-		for id, c := range matchCount {
-			if c < len(terms) {
-				delete(out, id)
-			}
-		}
+		return intersect(lists), nil
 	}
-	return out, nil
+	return union(lists), nil
 }
 
-func (ix *Index) evalPhrase(field, text string) (map[int32]float64, error) {
+func (ix *Index) evalPhrase(field, text string) (matchList, error) {
 	if _, declared := ix.schema[field]; !declared {
 		return nil, fmt.Errorf("fulltext: unknown field %q", field)
 	}
 	terms := ix.analyzer.Tokens(text)
-	out := make(map[int32]float64)
 	if len(terms) == 0 {
-		return out, nil
+		return idList(nil), nil
 	}
 	scored, err := ix.evalTerms(field, terms, true)
 	if err != nil {
@@ -253,17 +421,17 @@ func (ix *Index) evalPhrase(field, text string) (map[int32]float64, error) {
 	}
 	postingsByTerm := ix.text[field]
 	positionsOf := func(term string, docID int32) []uint32 {
-		for _, p := range postingsByTerm[term] {
-			if p.docID == docID {
-				return p.positions
-			}
+		ps := postingsByTerm[term]
+		i := sort.Search(len(ps), func(i int) bool { return ps[i].docID >= docID })
+		if i < len(ps) && ps[i].docID == docID {
+			return ps[i].positions
 		}
 		return nil
 	}
-	for docID, score := range scored {
-		first := positionsOf(terms[0], docID)
-		ok := false
-		for _, start := range first {
+	out := &scoredList{}
+	for i := 0; i < scored.len(); i++ {
+		docID := scored.id(i)
+		for _, start := range positionsOf(terms[0], docID) {
 			match := true
 			for k := 1; k < len(terms); k++ {
 				if !containsPos(positionsOf(terms[k], docID), start+uint32(k)) {
@@ -272,12 +440,9 @@ func (ix *Index) evalPhrase(field, text string) (map[int32]float64, error) {
 				}
 			}
 			if match {
-				ok = true
+				out.add(docID, scored.score(i))
 				break
 			}
-		}
-		if ok {
-			out[docID] = score
 		}
 	}
 	return out, nil
@@ -292,7 +457,7 @@ func containsPos(ps []uint32, want uint32) bool {
 	return false
 }
 
-func (ix *Index) evalRange(q RangeQuery) (map[int32]float64, error) {
+func (ix *Index) evalRange(q RangeQuery) (matchList, error) {
 	if _, declared := ix.schema[q.Field]; !declared {
 		return nil, fmt.Errorf("fulltext: unknown field %q", q.Field)
 	}
@@ -316,76 +481,40 @@ func (ix *Index) evalRange(q RangeQuery) (map[int32]float64, error) {
 	}
 	lo := toF(q.Min, math.Inf(-1))
 	hi := toF(q.Max, math.Inf(1))
-	out := make(map[int32]float64)
-	entries := ix.sortedNumeric(q.Field)
-	// Binary search the lower bound, scan to the upper.
+	// The entries are sorted by value (see rlockSorted): binary search
+	// the lower bound, scan to the upper, then put the IDs in doc order.
+	entries := ix.numeric[q.Field]
+	var ids idList
 	i := sort.Search(len(entries), func(i int) bool { return entries[i].val >= lo })
 	for ; i < len(entries) && entries[i].val <= hi; i++ {
-		out[entries[i].docID] = 1
+		ids = append(ids, entries[i].docID)
 	}
-	return out, nil
+	slices.Sort(ids)
+	return slices.Compact(ids), nil
 }
 
-func (ix *Index) evalBool(q BoolQuery) (map[int32]float64, error) {
-	var acc map[int32]float64
-	for _, sub := range q.Must {
-		scores, err := ix.eval(sub)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = scores
-			continue
-		}
-		for id := range acc {
-			s, ok := scores[id]
-			if !ok {
-				delete(acc, id)
-				continue
-			}
-			acc[id] += s
-		}
+func (ix *Index) evalBool(q BoolQuery) (matchList, error) {
+	must, err := ix.evalAll(q.Must)
+	if err != nil {
+		return nil, err
 	}
 	if len(q.Should) > 0 {
-		shouldScores := make(map[int32]float64)
-		for _, sub := range q.Should {
-			scores, err := ix.eval(sub)
-			if err != nil {
-				return nil, err
-			}
-			for id, s := range scores {
-				shouldScores[id] += s
-			}
-		}
-		if acc == nil {
-			acc = shouldScores
-		} else {
-			for id := range acc {
-				s, ok := shouldScores[id]
-				if !ok {
-					delete(acc, id)
-					continue
-				}
-				acc[id] += s
-			}
-		}
-	}
-	if acc == nil {
-		// Only MustNot given: start from everything.
-		all, err := ix.eval(AllQuery{})
+		should, err := ix.evalAll(q.Should)
 		if err != nil {
 			return nil, err
 		}
-		acc = all
+		must = append(must, union(should))
 	}
-	for _, sub := range q.MustNot {
-		scores, err := ix.eval(sub)
+	var acc matchList = allDocs(len(ix.docs))
+	if len(must) > 0 {
+		acc = intersect(must)
+	}
+	if len(q.MustNot) > 0 {
+		not, err := ix.evalAll(q.MustNot)
 		if err != nil {
 			return nil, err
 		}
-		for id := range scores {
-			delete(acc, id)
-		}
+		acc = subtract(acc, not)
 	}
 	return acc, nil
 }

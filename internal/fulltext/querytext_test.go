@@ -176,3 +176,26 @@ func TestAnalyzerIdempotentOnVocab(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTextQuery checks that no input makes the SEARCH parser, the
+// query builder or the evaluator panic: whatever parses builds with
+// enough parameters (each the fuzzed param string, parsed as a literal)
+// and then runs against a small index. The seed corpus in
+// testdata/fuzz holds the SEARCH shapes of the paper's queries.
+func FuzzParseTextQuery(f *testing.F) {
+	ix := testIndex(f)
+	f.Fuzz(func(t *testing.T, text, param string) {
+		q, err := ParseTextQuery(text)
+		if err != nil {
+			return
+		}
+		params := make([]value.Value, q.NumParams)
+		for i := range params {
+			params[i] = value.Parse(param, false)
+		}
+		if _, _, err := q.Build(params); err != nil {
+			t.Fatalf("Build with %d parameters: %v", q.NumParams, err)
+		}
+		_, _, _ = q.Execute(ix, params) // unknown fields are errors, not panics
+	})
+}

@@ -102,9 +102,8 @@ func (s *DocSource) Estimate(q SubQuery, numParams int) (rows, cost int) {
 		switch {
 		case c.Op == fulltext.CondEq && c.Param < 0:
 			// Exact: count documents holding this keyword value.
-			hits, err := s.ix.Search(fulltext.KeywordQuery{Field: c.Field, Value: c.Val.String()}, fulltext.SearchOptions{})
-			if err == nil && len(hits) < est {
-				est = len(hits)
+			if n, err := s.ix.KeywordCount(c.Field, c.Val.String()); err == nil && n < est {
+				est = n
 			}
 		case c.Op == fulltext.CondEq:
 			if e := s.ix.Count() / 100; e < est {

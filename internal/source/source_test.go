@@ -1,6 +1,8 @@
 package source
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tatooine/internal/doc"
@@ -226,6 +228,35 @@ func TestDocSourceEstimate(t *testing.T) {
 	}, 0)
 	if exact != 1 {
 		t.Errorf("exact keyword estimate: %d", exact)
+	}
+}
+
+// TestDocSourceEstimateMatchesSearch pins the exact keyword estimate,
+// now read from the posting length, to the hit count of a ranked
+// search: for every keyword value, a case variant, an absent value, a
+// declared non-keyword field and an undeclared field.
+func TestDocSourceEstimateMatchesSearch(t *testing.T) {
+	ix := tweetIndex(t)
+	s := NewDocSource("solr://tweets", ix)
+	type probe struct{ field, val string }
+	probes := []probe{{"entities.hashtags", "sia2016"}, {"entities.hashtags", "absent"}, {"text", "salon"}, {"nope", "x"}}
+	for _, f := range []string{"user.screen_name", "entities.hashtags"} {
+		for _, v := range ix.FieldTerms(f) {
+			probes = append(probes, probe{f, v}, probe{f, strings.ToUpper(v)})
+		}
+	}
+	for _, p := range probes {
+		want := ix.Count()
+		if hits, err := ix.Search(fulltext.KeywordQuery{Field: p.field, Value: p.val}, fulltext.SearchOptions{}); err == nil {
+			want = max(len(hits), 1)
+		}
+		rows, _ := s.Estimate(SubQuery{
+			Language: LangSearch,
+			Text:     fmt.Sprintf("SEARCH tweets WHERE %s = '%s' RETURN _id", p.field, p.val),
+		}, 0)
+		if rows != want {
+			t.Errorf("%s = %q: estimate %d, search gives %d", p.field, p.val, rows, want)
+		}
 	}
 }
 
