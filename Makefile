@@ -17,10 +17,12 @@ boundedsmoke:
 
 # Fuzz smoke: run each fuzz target a few seconds past its checked-in
 # seed corpus, so an input that panics the SEARCH parser, query builder
-# and evaluator, or breaks the bloom filter's no-false-negative
-# property, fails verify. A failing input lands under testdata/fuzz.
+# and evaluator, panics the BGP parser or evaluator, or breaks the bloom
+# filter's no-false-negative property, fails verify. A failing input
+# lands under testdata/fuzz.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTextQuery$$' -fuzztime 5s ./internal/fulltext/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBGP$$' -fuzztime 5s ./internal/rdf/
 	$(GO) test -run '^$$' -fuzz '^FuzzBloomMayContain$$' -fuzztime 5s ./internal/digest/
 
 # Observability hygiene: no printf logging outside cmd/, and a booted

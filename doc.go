@@ -324,7 +324,9 @@
 //     discards a torn tail; Checkpoint folds the WAL back into the
 //     main file. Path "" runs the same pager purely in memory.
 //   - internal/btree: order-N B-trees over pager pages — insert,
-//     delete, point lookup and ordered range cursors.
+//     delete, point lookup and ordered range cursors. A delete that
+//     empties a page unlinks it and returns it to the free list, so
+//     a seek's cost does not grow with the tree's deletion history.
 //   - internal/store: named keyspaces (one B-tree each) over one
 //     shared pager, so a single Commit covers every keyspace touched
 //     by a mutation — store.Store is the engine boundary the layers
@@ -465,4 +467,27 @@
 // The probe above therefore costs about the author's list times the
 // logarithm of the hashtag's, and the planner's estimate for a literal
 // keyword (fulltext.Index.KeywordCount) is a posting length.
+//
+// # BGP evaluation
+//
+// Every GRAPH atom is a conjunctive BGP over G∞, evaluated by
+// rdf.EvaluateBound in term-ID space. One call first numbers the
+// query's variables into slots and looks each constant and each bound
+// parameter up in the dictionary once; a term the dictionary lacks
+// makes its patterns match nothing. Bindings are then a slice of
+// TermIDs, set and unset in place as patterns match, and a term is
+// decoded only to test a FILTER on a variable as it binds or to emit a
+// head column, so a recursion step allocates no bindings and touches
+// no dictionary page. Patterns run greedily: next comes the first
+// remaining pattern with the fewest matches under the current
+// bindings. The counts that decide it are bounded: each stops as soon
+// as it reaches the best count so far, a count of 0 ends the branch,
+// and the last pattern is not counted at all, so choosing a pattern no
+// longer scans every candidate's whole index range. The choice, and so
+// the evaluation order, is the one unbounded counts would make. A graph
+// atom's planner estimate (rdf.Graph.MinPatternCount) is the same
+// bounded minimum and equals the exact one. A store-backed graph whose
+// read fails makes the query fail with the cause rather than answer
+// short. A nested-loop reference evaluator checks all of this on random
+// graphs and BGPs on both backends (rdf TestEvaluateMatchesReference).
 package tatooine

@@ -13,9 +13,12 @@
 // both halves into fresh pages and rewrites the root in place, so a
 // tree is durably identified by one PageID.
 //
-// Deletes do not rebalance: an underfull (even empty) page stays in the
-// tree and cursors skip it. That trades bounded space slack for
-// simplicity, which suits the mediator's append-mostly workloads.
+// Deletes do not merge or rebalance: an underfull page stays in the
+// tree, which trades bounded space slack for simplicity and suits the
+// mediator's append-mostly workloads. A page a delete empties is
+// unlinked and freed, though, so seeks and scans never walk empty
+// leaves (files written before that change may still hold some, and
+// cursors skip them).
 package btree
 
 import (
@@ -660,11 +663,17 @@ func (t *BTree) splitPage(id pager.PageID) ([]byte, pager.PageID, error) {
 	return sep, rightID, nil
 }
 
-// Delete removes key, reporting whether it was present. Tree pages are
-// not rebalanced (an underfull page stays in the tree), but the value's
+// Delete removes key, reporting whether it was present. The value's
 // overflow chain goes back to the pager's free list and the live-byte
-// counter retreats by the entry's payload.
+// counter retreats by the entry's payload. Pages are not merged, so a
+// page may stay underfull, but a leaf that the delete empties is
+// unlinked from its parent and freed, and so is an interior node left
+// without children; the root page stays and becomes an empty leaf when
+// the last key goes. A cursor therefore never walks past empty leaves,
+// however many keys were deleted. Freed pages may be reused by the next
+// allocation: no cursor over the tree may be open across a Delete.
 func (t *BTree) Delete(key []byte) (bool, error) {
+	var path []cursorLevel // interior pages above the leaf, with the child index taken
 	id := t.root
 	for {
 		view, err := t.pg.View(id)
@@ -680,18 +689,54 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			i, exact = search(p, key)
-			if !exact {
-				return false, nil
-			}
 			old, err := t.dropLeafCell(p, i)
 			if err != nil {
 				return false, err
 			}
 			t.live -= int64(len(key)) + old
+			if nCells(p) == 0 && id != t.root {
+				return true, t.unlink(id, path)
+			}
 			return true, nil
 		}
+		path = append(path, cursorLevel{page: id, idx: i})
 		id = interiorChild(view, i)
+	}
+}
+
+// unlink frees the emptied page id and removes it from its parent (the
+// last level of path), walking up while that leaves a parent without
+// children. An emptied root is rewritten as an empty leaf in place.
+func (t *BTree) unlink(id pager.PageID, path []cursorLevel) error {
+	for {
+		if err := t.pg.Free(id); err != nil {
+			return err
+		}
+		parent := path[len(path)-1]
+		path = path[:len(path)-1]
+		p, err := t.pg.Mut(parent.page)
+		if err != nil {
+			return err
+		}
+		n := nCells(p)
+		if n > 0 {
+			// Dropping child i with its router key hands child i's key
+			// range to its right neighbour. The rightmost child has no
+			// router: the last cell's child takes its place instead.
+			if parent.idx < n {
+				removeCell(p, parent.idx)
+			} else {
+				setRightChild(p, interiorChild(p, n-1))
+				removeCell(p, n-1)
+			}
+			return nil
+		}
+		// The parent's only child is gone.
+		if parent.page == t.root {
+			initPage(p, typeLeaf)
+			return nil
+		}
+		id = parent.page
 	}
 }
 
@@ -820,8 +865,9 @@ func (c *Cursor) advance() {
 }
 
 // descendMin pushes the path to the smallest key under id; returns
-// true if it found a leaf cell. Deletes can empty whole leaves (the
-// tree does not rebalance), so the minimum is not always down the
+// true if it found a leaf cell. Delete unlinks the leaves it empties,
+// but files written by earlier builds, whose deletes left empty leaves
+// in place, can still hold some, so the minimum is not always down the
 // leftmost path: each interior level tries its children left to right
 // until one subtree yields a cell.
 func (c *Cursor) descendMin(id pager.PageID) bool {

@@ -183,24 +183,36 @@ func (b *mapTriples) match(s, p, o TermID, fn func(s, p, o TermID) bool) {
 	}
 }
 
-func (b *mapTriples) count(s, p, o TermID) int {
-	// Fast paths that avoid enumeration.
+func (b *mapTriples) count(s, p, o TermID, limit int) int {
+	n := 0
 	switch {
 	case s == NoTerm && p == NoTerm && o == NoTerm:
-		return b.n
+		n = b.n
 	case s != NoTerm && p != NoTerm && o == NoTerm:
-		if m, ok := b.spo[s]; ok {
-			return len(m[p])
-		}
-		return 0
+		n = len(b.spo[s][p])
 	case s == NoTerm && p != NoTerm && o != NoTerm:
-		if m, ok := b.pos[p]; ok {
-			return len(m[o])
-		}
-		return 0
+		n = len(b.pos[p][o])
+	case s != NoTerm && p == NoTerm && o == NoTerm:
+		n = sumSets(b.spo[s], limit)
+	case s == NoTerm && p != NoTerm && o == NoTerm:
+		n = sumSets(b.pos[p], limit)
+	case s == NoTerm && p == NoTerm && o != NoTerm:
+		n = sumSets(b.osp[o], limit)
+	default:
+		b.match(s, p, o, func(_, _, _ TermID) bool { n++; return n < limit })
 	}
+	return min(n, limit)
+}
+
+// sumSets adds up the set sizes under one first-level index entry,
+// stopping once the sum reaches limit.
+func sumSets(m map[TermID]termSet, limit int) int {
 	n := 0
-	b.match(s, p, o, func(_, _, _ TermID) bool { n++; return true })
+	for _, set := range m {
+		if n += len(set); n >= limit {
+			break
+		}
+	}
 	return n
 }
 

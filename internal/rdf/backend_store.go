@@ -15,9 +15,10 @@ import (
 //
 // Storage errors cannot surface through the Graph's error-less probe
 // API; the backend treats a failed read as "no triples" and keeps the
-// FIRST error sticky (Graph.StoreErr), which the owning layer checks
-// at commit points. A graph whose store has failed degrades to missing
-// answers, never to wrong ones.
+// FIRST error sticky (Graph.StoreErr). Every layer above checks it:
+// the owning instance before it commits, and source.RDFSource after
+// each evaluation, failing the query with the cause instead of
+// returning the short answer the failed read left behind.
 type storeTriples struct {
 	spo, pos, osp store.KV
 	firstErr      error
@@ -155,13 +156,13 @@ func (b *storeTriples) scan(kv store.KV, prefix []byte, fn func(a, x, c TermID) 
 	b.fail(err)
 }
 
-func (b *storeTriples) count(s, p, o TermID) int {
+func (b *storeTriples) count(s, p, o TermID, limit int) int {
 	if s == NoTerm && p == NoTerm && o == NoTerm {
-		return b.size()
+		return min(b.size(), limit)
 	}
 	n := 0
-	b.match(s, p, o, func(_, _, _ TermID) bool { n++; return true })
-	return n
+	b.match(s, p, o, func(_, _, _ TermID) bool { n++; return n < limit })
+	return min(n, limit)
 }
 
 // properties iterates distinct predicates via seek-skip on POS: after

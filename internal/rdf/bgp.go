@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -149,15 +150,6 @@ func (q BGP) String() string {
 // Bindings is one solution: variable name → bound term.
 type Bindings map[string]Term
 
-// Clone returns a copy of b.
-func (b Bindings) Clone() Bindings {
-	out := make(Bindings, len(b))
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
 // Solutions is an ordered result set with named columns.
 type Solutions struct {
 	Vars []string
@@ -183,6 +175,13 @@ func Evaluate(g *Graph, q BGP) (*Solutions, error) {
 // mediator's bind joins: variables in init are constrained to the given
 // terms before evaluation. Head variables may be satisfied by init even
 // when absent from the body.
+//
+// Evaluation runs in term-ID space (see evaluator): constants and init
+// terms are looked up once, bindings are TermIDs set and unset in place,
+// and terms are decoded only to test a filter or to emit a head column.
+// At each step the first remaining pattern with the fewest matches
+// under the current bindings runs next; counts stop at the best count
+// so far, and a pattern with no match ends the branch.
 func EvaluateBound(g *Graph, q BGP, init Bindings) (*Solutions, error) {
 	if err := validateWithInit(q, init); err != nil {
 		return nil, err
@@ -195,73 +194,39 @@ func EvaluateBound(g *Graph, q BGP, init Bindings) (*Solutions, error) {
 	if len(q.Patterns) == 0 {
 		return sols, nil
 	}
-
-	// evalPats enumerates embeddings of a pattern conjunction, applying
-	// the query filters as soon as their variable binds.
-	var evalPats func(bound Bindings, rem []TriplePattern, emit func(Bindings))
-	evalPats = func(bound Bindings, rem []TriplePattern, emit func(Bindings)) {
-		for _, f := range q.Filters {
-			if t, ok := bound[f.Var]; ok && !f.eval(t) {
-				return
-			}
-		}
-		if len(rem) == 0 {
-			emit(bound)
-			return
-		}
-		// Pick the most selective remaining pattern under current bindings.
-		best, bestCount := 0, -1
-		for i, p := range rem {
-			c := g.patternCount(p, bound)
-			if bestCount < 0 || c < bestCount {
-				best, bestCount = i, c
-			}
-			if c == 0 {
-				best, bestCount = i, 0
-				break
-			}
-		}
-		p := rem[best]
-		rest := make([]TriplePattern, 0, len(rem)-1)
-		rest = append(rest, rem[:best]...)
-		rest = append(rest, rem[best+1:]...)
-
-		g.matchPattern(p, bound, func(next Bindings) {
-			evalPats(next, rest, emit)
-		})
-	}
-
-	// applyOptionals extends a solution with each OPTIONAL group in
-	// order: matching groups multiply solutions, non-matching groups
-	// pass the solution through with their variables unbound.
-	var applyOptionals func(bound Bindings, groups [][]TriplePattern)
-	applyOptionals = func(bound Bindings, groups [][]TriplePattern) {
-		if len(groups) == 0 {
-			row := make([]Term, len(head))
-			for i, v := range head {
-				row[i] = bound[v] // zero Term when unbound (OPTIONAL miss)
-			}
-			sols.Rows = append(sols.Rows, row)
-			return
-		}
-		matched := false
-		evalPats(bound, groups[0], func(ext Bindings) {
-			matched = true
-			applyOptionals(ext, groups[1:])
-		})
-		if !matched {
-			applyOptionals(bound, groups[1:])
+	for _, f := range q.Filters {
+		if t, ok := init[f.Var]; ok && !f.eval(t) {
+			return sols, nil
 		}
 	}
-
-	start := make(Bindings, len(init))
-	for k, v := range init {
-		start[k] = v
+	e := compileBGP(g, q, init)
+	e.sols = sols
+	e.head = make([]headCol, len(head))
+	for i, v := range head {
+		if t, ok := init[v]; ok {
+			e.head[i] = headCol{slot: -1, init: t}
+		} else {
+			e.head[i] = headCol{slot: e.slots[v]}
+		}
 	}
-	evalPats(start, append([]TriplePattern(nil), q.Patterns...), func(bound Bindings) {
-		applyOptionals(bound, q.Optionals)
-	})
+	e.solve(e.required, 0, -1)
 	return sols, nil
+}
+
+// MinPatternCount returns the smallest number of triples that one of
+// pats matches on its own, variables acting as wildcards: the
+// cardinality of the pattern a BGP evaluation starts from, which is the
+// mediator's row estimate for a graph atom. It returns -1 when pats is
+// empty. It counts like the evaluator does, never past the best count
+// so far and not at all after an empty pattern, so the minimum is exact
+// without scanning every pattern's whole index range.
+func (g *Graph) MinPatternCount(pats []TriplePattern) int {
+	if len(pats) == 0 {
+		return -1
+	}
+	e := compileBGP(g, BGP{Patterns: pats}, nil)
+	_, n := e.cheapest(e.required)
+	return n
 }
 
 func validateWithInit(q BGP, init Bindings) error {
@@ -290,103 +255,247 @@ func validateWithInit(q BGP, init Bindings) error {
 	return nil
 }
 
-// resolve maps a pattern position to a concrete TermID under bindings:
-// NoTerm means wildcard; ok=false means a constant/bound term is absent
-// from the dictionary so nothing can match.
-func (g *Graph) resolve(pt PatternTerm, bound Bindings) (TermID, bool) {
-	if pt.IsVar() {
-		if t, ok := bound[pt.Var]; ok {
-			id := g.dict.Lookup(t)
-			return id, id != NoTerm
+// absentID stands for a term missing from the graph's dictionary: a
+// pattern position holding it matches nothing. Dictionaries hand out
+// IDs densely from 1, so this one is never assigned.
+const absentID = ^TermID(0)
+
+// slotPos is one compiled pattern position: a variable's slot, or a
+// constant's TermID (absentID when the dictionary lacks it).
+type slotPos struct {
+	slot int // variable slot; -1 for a constant
+	id   TermID
+}
+
+type compiledPattern [3]slotPos
+
+// headCol says where an emitted column comes from: a variable's slot,
+// or (slot -1) the init term of a variable the call bound up front.
+type headCol struct {
+	slot int
+	init Term
+}
+
+// evaluator is one BGP evaluation compiled into term-ID space. Every
+// body variable owns a slot of vals, which holds its bound TermID
+// (NoTerm while unbound) and is set and unset in place as patterns
+// match, so a step allocates no bindings. Patterns are permuted in
+// place as the greedy order picks them and restored on the way back.
+type evaluator struct {
+	g         *Graph
+	slots     map[string]int
+	vals      []TermID
+	filters   [][]Filter // per slot: tested against the decoded term when it binds
+	required  []compiledPattern
+	optionals [][]compiledPattern
+	head      []headCol
+	rows      [][][3]TermID // per recursion depth: the matches being walked
+	sols      *Solutions
+}
+
+// compileBGP numbers q's variables into slots, looks each constant and
+// each init term up once, and attaches every filter on a variable the
+// evaluation binds to its slot (filters on init variables are the
+// caller's to test, once).
+func compileBGP(g *Graph, q BGP, init Bindings) *evaluator {
+	vars := q.AllVars()
+	e := &evaluator{
+		g:       g,
+		slots:   make(map[string]int, len(vars)),
+		vals:    make([]TermID, len(vars)),
+		filters: make([][]Filter, len(vars)),
+	}
+	for i, v := range vars {
+		e.slots[v] = i
+		if t, ok := init[v]; ok {
+			e.vals[i] = e.lookup(t)
 		}
-		return NoTerm, true
 	}
-	id := g.dict.Lookup(pt.Term)
-	return id, id != NoTerm
+	for _, f := range q.Filters {
+		if i, ok := e.slots[f.Var]; ok {
+			if _, bound := init[f.Var]; !bound {
+				e.filters[i] = append(e.filters[i], f)
+			}
+		}
+	}
+	compile := func(pats []TriplePattern) []compiledPattern {
+		out := make([]compiledPattern, len(pats))
+		for i, p := range pats {
+			for j, pt := range [3]PatternTerm{p.S, p.P, p.O} {
+				if pt.IsVar() {
+					out[i][j] = slotPos{slot: e.slots[pt.Var]}
+				} else {
+					out[i][j] = slotPos{slot: -1, id: e.lookup(pt.Term)}
+				}
+			}
+		}
+		return out
+	}
+	e.required = compile(q.Patterns)
+	depth := len(q.Patterns)
+	for _, grp := range q.Optionals {
+		e.optionals = append(e.optionals, compile(grp))
+		depth += len(grp)
+	}
+	e.rows = make([][][3]TermID, depth)
+	return e
 }
 
-// patternCount estimates the number of triples matching p under bound.
-func (g *Graph) patternCount(p TriplePattern, bound Bindings) int {
-	s, ok := g.resolve(p.S, bound)
-	if !ok {
-		return 0
+func (e *evaluator) lookup(t Term) TermID {
+	if id := e.g.dict.Lookup(t); id != NoTerm {
+		return id
 	}
-	pp, ok := g.resolve(p.P, bound)
-	if !ok {
-		return 0
-	}
-	o, ok := g.resolve(p.O, bound)
-	if !ok {
-		return 0
-	}
-	return g.countIDs(s, pp, o)
+	return absentID
 }
 
-// matchPattern enumerates extensions of bound that satisfy p.
-func (g *Graph) matchPattern(p TriplePattern, bound Bindings, fn func(Bindings)) {
-	s, ok := g.resolve(p.S, bound)
-	if !ok {
-		return
+// resolve returns p's positions under the current bindings (NoTerm is a
+// wildcard) and false when one holds a term absent from the dictionary.
+func (e *evaluator) resolve(p *compiledPattern) (ids [3]TermID, ok bool) {
+	for j, pos := range p {
+		id := pos.id
+		if pos.slot >= 0 {
+			id = e.vals[pos.slot]
+		}
+		if id == absentID {
+			return ids, false
+		}
+		ids[j] = id
 	}
-	pp, ok := g.resolve(p.P, bound)
-	if !ok {
-		return
-	}
-	o, ok := g.resolve(p.O, bound)
-	if !ok {
-		return
-	}
-	// Repeated unbound variables within the pattern (e.g. ?x ?p ?x)
-	// require an equality check after matching.
-	type capture struct {
-		name string
-		pos  int // 0=s 1=p 2=o
-	}
-	var caps []capture
-	if p.S.IsVar() && s == NoTerm {
-		caps = append(caps, capture{p.S.Var, 0})
-	}
-	if p.P.IsVar() && pp == NoTerm {
-		caps = append(caps, capture{p.P.Var, 1})
-	}
-	if p.O.IsVar() && o == NoTerm {
-		caps = append(caps, capture{p.O.Var, 2})
-	}
+	return ids, true
+}
 
-	var rows [][3]TermID
-	g.MatchIDs(s, pp, o, func(ms, mp, mo TermID) bool {
-		rows = append(rows, [3]TermID{ms, mp, mo})
+// count is min(matches of p under the current bindings, limit).
+func (e *evaluator) count(p *compiledPattern, limit int) int {
+	ids, ok := e.resolve(p)
+	if !ok {
+		return 0
+	}
+	return e.g.countIDs(ids[0], ids[1], ids[2], limit)
+}
+
+// cheapest returns the index of the first pattern of rem with the
+// fewest matches under the current bindings, and that count. Each
+// count stops at the best count so far, since a pattern that reaches
+// it cannot win, and a count of 0 ends the search.
+func (e *evaluator) cheapest(rem []compiledPattern) (best, bestCount int) {
+	bestCount = e.count(&rem[0], math.MaxInt)
+	for i := 1; i < len(rem) && bestCount > 0; i++ {
+		if c := e.count(&rem[i], bestCount); c < bestCount {
+			best, bestCount = i, c
+		}
+	}
+	return best, bestCount
+}
+
+// solve enumerates the embeddings of rem under the current bindings and
+// carries each on to the OPTIONAL groups after group (-1: rem is the
+// required body). depth indexes the match buffer of this step. It
+// reports whether any embedding was found.
+func (e *evaluator) solve(rem []compiledPattern, depth, group int) bool {
+	if len(rem) == 0 {
+		e.extend(group+1, depth)
+		return true
+	}
+	best := 0
+	if len(rem) > 1 {
+		var n int
+		if best, n = e.cheapest(rem); n == 0 {
+			return false
+		}
+	}
+	p := rem[best]
+	ids, ok := e.resolve(&p)
+	if !ok {
+		return false
+	}
+	// Unbound variable positions capture the match; a variable repeated
+	// within the pattern (e.g. ?x ?p ?x) must capture equal IDs.
+	var caps [3]int
+	var capPos [3]int
+	ncaps := 0
+	for j, pos := range p {
+		if pos.slot >= 0 && ids[j] == NoTerm {
+			caps[ncaps], capPos[ncaps] = pos.slot, j
+			ncaps++
+		}
+	}
+	// Collect first: the graph's read lock must not be held across the
+	// recursion.
+	rows := e.rows[depth][:0]
+	e.g.MatchIDs(ids[0], ids[1], ids[2], func(s, p, o TermID) bool {
+		rows = append(rows, [3]TermID{s, p, o})
 		return true
 	})
+	e.rows[depth] = rows
+
+	// Move the chosen pattern to the front, keeping the others in their
+	// order (the tie-break of later steps), and put it back afterwards.
+	copy(rem[1:best+1], rem[:best])
+	rem[0] = p
+	found := false
 	for _, r := range rows {
-		next := bound
-		cloned := false
-		ok := true
-		for _, c := range caps {
-			val := g.dict.Term(r[c.pos])
-			if prev, exists := next[c.name]; exists {
-				if prev != val {
-					ok = false
-					break
-				}
-				continue
-			}
-			if !cloned {
-				next = bound.Clone()
-				cloned = true
-			}
-			next[c.name] = val
+		if e.bind(caps[:ncaps], capPos[:ncaps], r) && e.solve(rem[1:], depth+1, group) {
+			found = true
 		}
-		if !ok {
-			continue
+		for _, slot := range caps[:ncaps] {
+			e.vals[slot] = NoTerm
 		}
-		if !cloned && len(caps) > 0 {
-			// All captures matched pre-existing bindings; next == bound.
-			fn(bound)
-			continue
-		}
-		fn(next)
 	}
+	copy(rem[:best], rem[1:best+1])
+	rem[best] = p
+	return found
+}
+
+// bind sets the captured slots from one matched triple and reports
+// whether repeated variables agree and every filter on a newly bound
+// variable holds. The caller unsets the slots either way.
+func (e *evaluator) bind(caps, capPos []int, r [3]TermID) bool {
+	for i, slot := range caps {
+		id := r[capPos[i]]
+		if cur := e.vals[slot]; cur != NoTerm {
+			if cur != id {
+				return false
+			}
+			continue
+		}
+		e.vals[slot] = id
+	}
+	for _, slot := range caps {
+		if len(e.filters[slot]) == 0 {
+			continue
+		}
+		t := e.g.dict.Term(e.vals[slot])
+		for _, f := range e.filters[slot] {
+			if !f.eval(t) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// extend applies the OPTIONAL groups from index k on, in order: a group
+// that matches multiplies the solution, one that does not passes it
+// through with its variables unbound. Past the last group it emits the
+// head row.
+func (e *evaluator) extend(k, depth int) {
+	if k < len(e.optionals) {
+		if !e.solve(e.optionals[k], depth, k) {
+			e.extend(k+1, depth)
+		}
+		return
+	}
+	row := make([]Term, len(e.head))
+	for i, h := range e.head {
+		switch {
+		case h.slot < 0:
+			row[i] = h.init
+		case e.vals[h.slot] != NoTerm:
+			row[i] = e.g.dict.Term(e.vals[h.slot])
+		}
+		// Otherwise the zero Term: unbound after an OPTIONAL miss.
+	}
+	e.sols.Rows = append(e.sols.Rows, row)
 }
 
 // Sort orders rows lexically by their term keys; useful for deterministic

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -21,7 +22,11 @@ type tripleBackend interface {
 	// match calls fn for every triple matching the pattern (NoTerm is a
 	// wildcard in any position); iteration stops when fn returns false.
 	match(s, p, o TermID, fn func(s, p, o TermID) bool)
-	count(s, p, o TermID) int
+	// count returns how many triples match the pattern, but stops
+	// counting at limit (limit >= 1): the result is min(matches, limit).
+	// Bounded counts let the BGP evaluator compare patterns without
+	// scanning past the best candidate so far.
+	count(s, p, o TermID, limit int) int
 	size() int
 	// properties iterates the distinct predicate IDs in the graph.
 	properties(fn func(p TermID) bool)
@@ -83,8 +88,9 @@ func OpenGraphSharedDict(st store.Store, prefix string, base *Graph) (*Graph, er
 
 // StoreErr returns the first storage error the graph's backend has
 // swallowed, or nil. The probe API (Contains, MatchIDs, ...) cannot
-// report errors, so a store-backed graph degrades to missing answers on
-// I/O failure; durable owners must check StoreErr before committing.
+// report errors, so after an I/O failure a store-backed graph answers
+// short: durable owners must check StoreErr before committing, and
+// readers after evaluating, to turn that short answer into an error.
 func (g *Graph) StoreErr() error {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -276,13 +282,15 @@ func (g *Graph) CountMatch(s, p, o Term) int {
 	if !ok {
 		return 0
 	}
-	return g.countIDs(sid, pid, oid)
+	return g.countIDs(sid, pid, oid, math.MaxInt)
 }
 
-func (g *Graph) countIDs(s, p, o TermID) int {
+// countIDs is min(triples matching the pattern, limit); see
+// tripleBackend.count.
+func (g *Graph) countIDs(s, p, o TermID, limit int) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.be.count(s, p, o)
+	return g.be.count(s, p, o, limit)
 }
 
 // Triples returns every stored triple, sorted lexically by their

@@ -122,13 +122,43 @@ func (s *RDFSource) Languages() []Language { return []Language{LangBGP} }
 // Execute implements DataSource. Params bind the query's InVars (see
 // SubQuery.InVars) by name to constant terms before evaluation.
 func (s *RDFSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
-	if q.Language != LangBGP {
-		return nil, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
-	}
-	bgp, err := rdf.ParseBGP(q.Text, s.prefixes)
+	bgp, err := s.parse(q)
 	if err != nil {
 		return nil, err
 	}
+	return s.evaluate(q, bgp, params)
+}
+
+// ExecuteBatch implements BatchProber, VALUES-style: the BGP is parsed
+// once and evaluated once per binding tuple over the in-process graph.
+// The pushdown win is amortizing the parse and — when this source sits
+// behind a federation endpoint — collapsing N probe round trips into
+// one request.
+func (s *RDFSource) ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, error) {
+	bgp, err := s.parse(q)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(paramSets))
+	for i, params := range paramSets {
+		if out[i], err = s.evaluate(q, bgp, params); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (s *RDFSource) parse(q SubQuery) (rdf.BGP, error) {
+	if q.Language != LangBGP {
+		return rdf.BGP{}, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
+	}
+	return rdf.ParseBGP(q.Text, s.prefixes)
+}
+
+// evaluate runs bgp with q's InVars bound to params. A storage error
+// behind the graph fails the query: the failed read would otherwise
+// have left a silently short answer.
+func (s *RDFSource) evaluate(q SubQuery, bgp rdf.BGP, params []value.Value) (*Result, error) {
 	if len(params) != len(q.InVars) {
 		return nil, fmt.Errorf("source %s: query expects %d parameters, got %d", s.uri, len(q.InVars), len(params))
 	}
@@ -139,6 +169,9 @@ func (s *RDFSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
 	sols, err := rdf.EvaluateBound(s.graph, bgp, init)
 	if err != nil {
 		return nil, err
+	}
+	if err := s.graph.StoreErr(); err != nil {
+		return nil, fmt.Errorf("source %s: graph store failed: %w", s.uri, err)
 	}
 	res := &Result{Cols: sols.Vars}
 	for _, row := range sols.Rows {
@@ -151,45 +184,6 @@ func (s *RDFSource) Execute(q SubQuery, params []value.Value) (*Result, error) {
 	return res, nil
 }
 
-// ExecuteBatch implements BatchProber, VALUES-style: the BGP is parsed
-// once and evaluated once per binding tuple over the in-process graph.
-// The pushdown win is amortizing the parse and — when this source sits
-// behind a federation endpoint — collapsing N probe round trips into
-// one request.
-func (s *RDFSource) ExecuteBatch(q SubQuery, paramSets []value.Row) ([]*Result, error) {
-	if q.Language != LangBGP {
-		return nil, fmt.Errorf("source %s: unsupported language %q", s.uri, q.Language)
-	}
-	bgp, err := rdf.ParseBGP(q.Text, s.prefixes)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(paramSets))
-	for i, params := range paramSets {
-		if len(params) != len(q.InVars) {
-			return nil, fmt.Errorf("source %s: query expects %d parameters, got %d", s.uri, len(q.InVars), len(params))
-		}
-		init := make(rdf.Bindings, len(params))
-		for j, name := range q.InVars {
-			init[strings.TrimPrefix(name, "?")] = ValueToTerm(params[j])
-		}
-		sols, err := rdf.EvaluateBound(s.graph, bgp, init)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{Cols: sols.Vars}
-		for _, row := range sols.Rows {
-			vrow := make(value.Row, len(row))
-			for k, t := range row {
-				vrow[k] = TermToValue(t)
-			}
-			res.Rows = append(res.Rows, vrow)
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
 // EstimateCost implements DataSource: the minimum pattern cardinality
 // of the BGP (a cheap, index-backed upper bound on the first join step).
 func (s *RDFSource) EstimateCost(q SubQuery, numParams int) int {
@@ -198,30 +192,14 @@ func (s *RDFSource) EstimateCost(q SubQuery, numParams int) int {
 }
 
 // Estimate implements Estimator: rows is the minimum pattern
-// cardinality (the seed of the BGP join), cost adds one index probe
-// per pattern — an in-memory graph's whole effort is walking its
-// pattern indexes.
+// cardinality (the seed of the BGP join, rdf.Graph.MinPatternCount),
+// cost adds one index probe per pattern — an in-memory graph's whole
+// effort is walking its pattern indexes.
 func (s *RDFSource) Estimate(q SubQuery, numParams int) (rows, cost int) {
 	bgp, err := rdf.ParseBGP(q.Text, s.prefixes)
 	if err != nil || len(bgp.Patterns) == 0 {
 		return -1, -1
 	}
-	best := -1
-	for _, p := range bgp.Patterns {
-		var sp, pp, op rdf.Term
-		if !p.S.IsVar() {
-			sp = p.S.Term
-		}
-		if !p.P.IsVar() {
-			pp = p.P.Term
-		}
-		if !p.O.IsVar() {
-			op = p.O.Term
-		}
-		c := s.graph.CountMatch(sp, pp, op)
-		if best < 0 || c < best {
-			best = c
-		}
-	}
+	best := s.graph.MinPatternCount(bgp.Patterns)
 	return best, best + len(bgp.Patterns)
 }
