@@ -410,12 +410,11 @@ func (e *evaluator) solve(rem []compiledPattern, depth, group int) bool {
 	}
 	// Unbound variable positions capture the match; a variable repeated
 	// within the pattern (e.g. ?x ?p ?x) must capture equal IDs.
-	var caps [3]int
 	var capPos [3]int
 	ncaps := 0
 	for j, pos := range p {
 		if pos.slot >= 0 && ids[j] == NoTerm {
-			caps[ncaps], capPos[ncaps] = pos.slot, j
+			capPos[ncaps] = j
 			ncaps++
 		}
 	}
@@ -434,11 +433,11 @@ func (e *evaluator) solve(rem []compiledPattern, depth, group int) bool {
 	rem[0] = p
 	found := false
 	for _, r := range rows {
-		if e.bind(caps[:ncaps], capPos[:ncaps], r) && e.solve(rem[1:], depth+1, group) {
+		if e.bind(&p, capPos[:ncaps], r) && e.solve(rem[1:], depth+1, group) {
 			found = true
 		}
-		for _, slot := range caps[:ncaps] {
-			e.vals[slot] = NoTerm
+		for _, j := range capPos[:ncaps] {
+			e.vals[p[j].slot] = NoTerm
 		}
 	}
 	copy(rem[:best], rem[1:best+1])
@@ -446,21 +445,23 @@ func (e *evaluator) solve(rem []compiledPattern, depth, group int) bool {
 	return found
 }
 
-// bind sets the captured slots from one matched triple and reports
-// whether repeated variables agree and every filter on a newly bound
-// variable holds. The caller unsets the slots either way.
-func (e *evaluator) bind(caps, capPos []int, r [3]TermID) bool {
-	for i, slot := range caps {
-		id := r[capPos[i]]
+// bind sets the slots of p's capturing positions from one matched
+// triple and reports whether repeated variables agree and every filter
+// on a newly bound variable holds. The caller unsets the slots either
+// way.
+func (e *evaluator) bind(p *compiledPattern, capPos []int, r [3]TermID) bool {
+	for _, j := range capPos {
+		slot := p[j].slot
 		if cur := e.vals[slot]; cur != NoTerm {
-			if cur != id {
+			if cur != r[j] {
 				return false
 			}
 			continue
 		}
-		e.vals[slot] = id
+		e.vals[slot] = r[j]
 	}
-	for _, slot := range caps {
+	for _, j := range capPos {
+		slot := p[j].slot
 		if len(e.filters[slot]) == 0 {
 			continue
 		}
